@@ -23,6 +23,7 @@ fn main() {
         ex.scale.servers, ex.scale.requests_per_vm, ex.scale.rps_per_vm
     );
     for id in ids {
+        #[expect(clippy::disallowed_types, reason = "figure timing is host wall time by design; it never feeds simulated time")]
         let started = std::time::Instant::now();
         println!("\n===== {id} =====");
         println!("{}", run_figure(&ex, id));

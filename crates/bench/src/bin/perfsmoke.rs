@@ -12,7 +12,6 @@
 //! * `HH_BENCH_OUT` — output path (default `BENCH_figures.json`)
 
 use hh_bench::{run_figure, scale_from_env, ALL_FIGURES};
-use std::time::Instant;
 
 fn main() {
     let ex = scale_from_env();
@@ -24,9 +23,11 @@ fn main() {
     );
 
     let mut timings: Vec<(&str, f64)> = Vec::with_capacity(ALL_FIGURES.len());
-    let total_start = Instant::now();
+    #[expect(clippy::disallowed_types, reason = "perfsmoke measures host wall time by design")]
+    let total_start = std::time::Instant::now();
     for &id in ALL_FIGURES {
-        let start = Instant::now();
+        #[expect(clippy::disallowed_types, reason = "perfsmoke measures host wall time by design")]
+        let start = std::time::Instant::now();
         let table = run_figure(&ex, id);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(&table);

@@ -186,6 +186,10 @@ pub fn diff_samples(ops: &[SampleOp]) -> Result<(), Box<Divergence>> {
     let mut opt = Samples::new();
     let mut reference = RefSamples::new();
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "the oracle demands bit-identical results from both models"
+    )]
     fn compare(
         i: usize,
         op: &SampleOp,

@@ -1,220 +1,22 @@
-//! hh-lint: a hand-rolled determinism & hot-path lint pass for the
-//! HardHarvest workspace.
+//! Fixture corpus for the workspace clippy policy (DESIGN.md §12).
 //!
-//! The pipeline per file is: [`lexer::lex`] → [`imports::Imports`] +
-//! [`ast::FileIndex`] + [`diag::Allows`] → [`rules::run_all`] → severity
-//! and allow filtering. [`lint_workspace`] drives it over every crate
-//! found by [`modwalk`]. No dependencies, no rustc internals: the linter
-//! compiles everywhere the workspace does and runs in milliseconds, which
-//! is what lets CI gate on it.
+//! Each module exercises one rule of `clippy.toml` and the
+//! `[workspace.lints.clippy]` levels. Every expected finding sits under an
+//! `#[expect(clippy::<lint>)]`, and every other line must stay clean. Under
+//! `cargo clippy -- -D warnings` the check runs both ways:
 //!
-//! The rule set targets the failure modes a simulator-reproduction repo
-//! actually has: nondeterministic iteration order, wall-clock leakage,
-//! ambient entropy, panics on hot paths, exact float comparison, untraced
-//! state transitions and invariant-bypassing public fields. See
-//! `DESIGN.md` §12 for the architecture rationale.
+//! * a finding the policy no longer produces leaves its expectation
+//!   unfulfilled (`unfulfilled_lint_expectations`);
+//! * a finding nobody expected is a denied lint.
+//!
+//! So dropping an entry from `clippy.toml`, or removing any `#[expect]`
+//! here, fails the gate. Nothing in this crate is ever called.
 
-pub mod ast;
-pub mod config;
-pub mod diag;
-pub mod imports;
-pub mod lexer;
-pub mod modwalk;
-pub mod rules;
-
-use std::io;
-use std::path::Path;
-
-use ast::FileIndex;
-use config::{Config, Level};
-use diag::{Allows, Diagnostic};
-use imports::Imports;
-use lexer::Tok;
-
-/// Everything the rules need to know about one file, assembled once.
-pub struct FileCtx<'a> {
-    /// Package name of the owning crate.
-    pub crate_name: &'a str,
-    /// Path shown in diagnostics (workspace-relative, `/`-separated).
-    pub display_path: &'a str,
-    /// Source split into lines, for snippets.
-    pub lines: Vec<&'a str>,
-    /// The token stream.
-    pub toks: &'a [Tok],
-    /// Structural index (fn bodies, test ranges, structs, …).
-    pub index: FileIndex,
-    /// Use-tree expansion for name resolution.
-    pub imports: Imports,
-    /// Inline `hh-lint: allow(…)` directives.
-    pub allows: Allows,
-    /// Token ranges (inclusive) of `use` items, never flagged.
-    use_ranges: Vec<(usize, usize)>,
-    /// The active policy.
-    pub config: &'a Config,
-}
-
-impl FileCtx<'_> {
-    /// Effective level of `rule` for this file's crate.
-    pub fn level(&self, rule: &'static str) -> Level {
-        self.config.level(self.crate_name, rule)
-    }
-
-    /// Whether token `i` sits inside a `use` item.
-    pub fn in_use_item(&self, i: usize) -> bool {
-        self.use_ranges.iter().any(|&(a, b)| a <= i && i <= b)
-    }
-
-    /// Emits one finding at `tok` unless an inline allow covers it.
-    pub fn emit(
-        &self,
-        out: &mut Vec<Diagnostic>,
-        rule: &'static str,
-        tok: &Tok,
-        message: String,
-        hint: String,
-    ) {
-        if self.allows.covers(rule, tok.line) {
-            return;
-        }
-        let level = self.level(rule);
-        if level == Level::Allow {
-            return;
-        }
-        let snippet = self
-            .lines
-            .get(tok.line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
-        out.push(Diagnostic {
-            rule,
-            level,
-            crate_name: self.crate_name.to_string(),
-            file: self.display_path.to_string(),
-            line: tok.line,
-            col: tok.col,
-            message,
-            snippet,
-            hint,
-        });
-    }
-}
-
-/// Token ranges of `use` items (from the `use` keyword to its `;`).
-fn use_item_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let at_item = toks[i].is_ident("use")
-            && !(i > 0 && (toks[i - 1].is_punct("::") || toks[i - 1].is_punct(".")));
-        if at_item {
-            let start = i;
-            while i < toks.len() && !toks[i].is_punct(";") {
-                i += 1;
-            }
-            out.push((start, i.min(toks.len() - 1)));
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Lints one file's source text. `display_path` appears in diagnostics;
-/// `crate_name` selects the per-crate severity overrides.
-pub fn lint_file(
-    crate_name: &str,
-    display_path: &str,
-    src: &str,
-    config: &Config,
-) -> Vec<Diagnostic> {
-    let lexed = lexer::lex(src);
-    let ctx = FileCtx {
-        crate_name,
-        display_path,
-        lines: src.lines().collect(),
-        toks: &lexed.toks,
-        index: FileIndex::build(&lexed.toks),
-        imports: Imports::collect(&lexed.toks),
-        allows: Allows::collect(&lexed.comments),
-        use_ranges: use_item_ranges(&lexed.toks),
-        config,
-    };
-    let mut out = Vec::new();
-    rules::run_all(&ctx, &mut out);
-    out
-}
-
-/// Lints every source file of every workspace crate under `root`.
-/// Diagnostics come back sorted by `(file, line, col, rule)` so output is
-/// byte-stable across runs and platforms.
-pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
-    for info in modwalk::discover(root)? {
-        for path in modwalk::crate_files(&info) {
-            let src = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let display = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.extend(lint_file(&info.name, &display, &src, config));
-        }
-    }
-    out.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-    });
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn use_items_never_flagged() {
-        let cfg = Config::corpus();
-        let diags = lint_file(
-            "hh-test",
-            "x.rs",
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u64, u64> = HashMap::new(); let _ = m; }\n",
-            &cfg,
-        );
-        assert!(diags.iter().all(|d| d.line != 1), "{diags:?}");
-        assert_eq!(
-            diags
-                .iter()
-                .filter(|d| d.rule == "nondeterministic-collection")
-                .count(),
-            2,
-            "two usage sites on line 2: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn inline_allow_suppresses() {
-        let cfg = Config::corpus();
-        let diags = lint_file(
-            "hh-test",
-            "x.rs",
-            "fn f(a: f64) -> bool {\n    // hh-lint: allow(float-eq): sentinel check\n    a == 0.0\n}\n",
-            &cfg,
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn test_code_exempt() {
-        let cfg = Config::corpus();
-        let diags = lint_file(
-            "hh-test",
-            "x.rs",
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert!(1.0 == 1.0); }\n}\n",
-            &cfg,
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-}
+pub mod allows;
+pub mod collections;
+pub mod float_eq;
+pub mod hot_mod;
+pub mod hot_unwrap;
+pub mod rng;
+pub mod shadowing;
+pub mod wall_clock;

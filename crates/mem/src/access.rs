@@ -1,4 +1,5 @@
 //! Memory-access descriptors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 use hh_sim::VmId;
 use serde::{Deserialize, Serialize};

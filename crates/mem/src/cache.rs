@@ -7,6 +7,7 @@
 //! entry and LRU stamps sit in their own array. Victim selection operates
 //! on an *effective* way mask (`allowed ∩ ways`) computed once per
 //! access, never re-filtered inside scan loops.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 use serde::{Deserialize, Serialize};
 
@@ -365,13 +366,15 @@ impl SetAssocCache {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`eff` was checked non-empty at lookup entry; an empty mask cannot reach here"
+    )]
     fn victim_lru(&self, base: usize, eff: WayMask) -> usize {
         if let Some(w) = self.first_empty(base, eff) {
             return w;
         }
         self.lru_of(base, eff, |_| true)
-            // hh-lint: allow(unwrap-in-hot-path): `eff` was checked
-            // non-empty at lookup entry; an empty mask cannot reach here.
             .expect("allowed mask verified non-empty")
     }
 
@@ -397,6 +400,10 @@ impl SetAssocCache {
     }
 
     /// Algorithm 1 from the paper, including the eviction-candidate window.
+    #[expect(
+        clippy::expect_used,
+        reason = "the final fallback scans the full effective mask, which is non-empty here"
+    )]
     fn victim_hardharvest(
         &self,
         base: usize,
@@ -445,16 +452,12 @@ impl SetAssocCache {
             pick_lru(non_harv, true)
                 .or_else(|| pick_lru(harv, true))
                 .or_else(|| pick_lru(eff, false))
-                // hh-lint: allow(unwrap-in-hot-path): the final fallback
-                // scanned the full effective mask, which is non-empty here.
                 .expect("candidate window is non-empty")
         } else {
             // Private victim in Harv, then private in Non-Harv, then any.
             pick_lru(harv, true)
                 .or_else(|| pick_lru(non_harv, true))
                 .or_else(|| pick_lru(eff, false))
-                // hh-lint: allow(unwrap-in-hot-path): the final fallback
-                // scanned the full effective mask, which is non-empty here.
                 .expect("candidate window is non-empty")
         }
     }
@@ -568,6 +571,7 @@ impl SetAssocCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

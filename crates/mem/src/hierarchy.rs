@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn llc_partitions_isolate_vms() {
-        let mut llc = Llc::new(64, 16, &[4, 4]);
+        let llc = Llc::new(64, 16, &[4, 4]);
         let m0 = llc.vm_mask(VmId(0));
         let m1 = llc.vm_mask(VmId(1));
         assert!(!m0.is_empty() && !m1.is_empty());

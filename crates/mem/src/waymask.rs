@@ -1,4 +1,5 @@
 //! Way-level bitmasks for cache partitioning.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Not};

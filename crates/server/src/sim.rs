@@ -354,7 +354,7 @@ impl ServerSim {
             }
             self.handle(ev);
             #[cfg(debug_assertions)]
-            if budget % 4096 == 0 {
+            if budget.is_multiple_of(4096) {
                 if let Err(v) = self.check_invariants() {
                     self.report_invariant_violation(&v);
                     panic!("at {}: {v}", self.now);
@@ -1536,10 +1536,6 @@ impl ServerSim {
     /// callable from tests and the `hh-check` harness at any point.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         Self::invariant_set().check_all(self)
-    }
-
-    fn find_stealable_core(&self) -> Option<usize> {
-        (0..self.cores.len()).find(|&i| self.core_is_stealable_idx(i))
     }
 
     fn find_stealable_core_of(&self, vm: usize) -> Option<usize> {

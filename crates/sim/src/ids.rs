@@ -20,6 +20,7 @@ macro_rules! id_type {
         impl $name {
             /// Index into dense per-entity arrays.
             #[inline]
+            #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
             pub fn index(self) -> usize {
                 self.0 as usize
             }

@@ -5,6 +5,7 @@
 //! published experiment numbers are reproducible bit-for-bit regardless of
 //! dependency versions. The generator is *not* cryptographic and must never
 //! be used for security purposes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 /// A deterministic 64-bit PRNG (xoshiro256** seeded via SplitMix64).
 ///

@@ -1,4 +1,5 @@
 //! The simulation clock.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 use std::fmt;
 use std::iter::Sum;
@@ -194,6 +195,7 @@ impl fmt::Display for Cycles {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 

@@ -61,6 +61,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// True when tracing is compiled in *and* enabled at runtime.
 #[inline]
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn enabled() -> bool {
     COMPILED && ENABLED.load(Ordering::Relaxed)
 }
@@ -120,12 +121,14 @@ impl TraceSession {
 
     /// Records one event.
     #[inline]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn record(&mut self, ev: TraceEvent) {
         self.ring.push(ev);
     }
 
     /// Adds to a monotonic counter.
     #[inline]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn count(&mut self, name: &str, add: u64) {
         self.registry.counter_add(name, add);
     }
@@ -133,6 +136,7 @@ impl TraceSession {
     /// Sets a time-weighted gauge and records a [`TraceEvent::GaugeSample`]
     /// so the value renders as a Perfetto counter track.
     #[inline]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn gauge(&mut self, name: &'static str, index: u32, now: Cycles, value: f64) {
         if index == NO_INDEX {
             self.registry.gauge_set(name, now, value);
@@ -144,6 +148,7 @@ impl TraceSession {
 
     /// Records into a log-bucketed histogram.
     #[inline]
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn hist(&mut self, name: &str, value: f64) {
         self.registry.hist_record(name, value);
     }

@@ -7,6 +7,7 @@
 //! never reused afterwards). Popularity is skewed — a hot subset absorbs
 //! most references — matching the small effective working sets measured in
 //! Section 3.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // hot path: DESIGN.md §12
 
 use hh_mem::{Access, AccessKind, BatchRef, PageClass};
 use hh_sim::{Rng64, VmId};

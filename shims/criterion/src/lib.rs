@@ -8,6 +8,7 @@
 //! `[patch.crates-io]` entries in the workspace manifest restores the
 //! real criterion.
 
+#[expect(clippy::disallowed_types, reason = "a benchmark timer measures host wall time by design")]
 use std::time::Instant;
 
 /// Opaque value barrier (re-exported `std::hint::black_box`).
@@ -24,6 +25,7 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`: 2 warmup calls, then a measured batch sized so the
     /// batch takes roughly 100ms (capped at 1000 iterations).
+    #[expect(clippy::disallowed_types, reason = "a benchmark timer measures host wall time by design")]
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         black_box(f());
         let probe_start = Instant::now();

@@ -1,6 +1,7 @@
 //! Reproducibility: the entire stack is deterministic given a seed —
 //! including under the memoizing parallel executor, whatever its worker
 //! count.
+#![allow(clippy::float_cmp)]
 
 use hh_core::{Experiments, RunPlan, Scale, SystemSpec};
 
