@@ -10,10 +10,9 @@
 //! 2. the Belady bound and partition invariant over the same traces;
 //! 3. sample-set traces hitting the selection, cached-sort and empty-set
 //!    paths of the percentile estimator;
-//! 4. memo-table collision probes;
-//! 5. pooled cluster runs at worker counts 1, 2 and 8 against the serial
+//! 4. pooled cluster runs at worker counts 1, 2 and 8 against the serial
 //!    memo-free reference executor;
-//! 6. subqueue FIFO and RQ-chunk-conservation stress.
+//! 5. subqueue FIFO and RQ-chunk-conservation stress.
 //!
 //! Designed to run in seconds (`cargo run --release -p hh-check`) so CI
 //! can afford it on every push.
@@ -24,7 +23,7 @@ use hh_check::invariants::{
     SubqueueFifo, TraceRun,
 };
 use hh_check::refexec::{diff_cluster, run_cluster_serial};
-use hh_core::{MemoTable, RunPlan, Scale};
+use hh_core::{RunPlan, Scale};
 use hh_hwqueue::{Controller, ControllerConfig, Subqueue, VmKind};
 use hh_mem::{PolicyKind, SetAssocCache, WayMask};
 use hh_sim::invariant::Invariant;
@@ -263,26 +262,6 @@ fn check_samples_suite(failures: &mut u32, checks: &mut u32) {
     }
 }
 
-fn check_memo_suite(failures: &mut u32, checks: &mut u32) {
-    *checks += 1;
-    let memo = MemoTable::new();
-    let a = memo.cell(0x5EED, "SystemA\nconfig-1");
-    let b = memo.cell(0x5EED, "SystemA\nconfig-2"); // forced hash collision
-    let a_again = memo.cell(0x5EED, "SystemA\nconfig-1");
-    if std::sync::Arc::ptr_eq(&a, &b) {
-        eprintln!("FAIL memo: hash collision aliased two different configs to one cell");
-        *failures += 1;
-    }
-    if !std::sync::Arc::ptr_eq(&a, &a_again) {
-        eprintln!("FAIL memo: identical keys did not share a cell");
-        *failures += 1;
-    }
-    if memo.len() != 2 {
-        eprintln!("FAIL memo: expected 2 distinct cells, found {}", memo.len());
-        *failures += 1;
-    }
-}
-
 fn check_executor_suite(failures: &mut u32, checks: &mut u32) {
     let scale = Scale {
         servers: 2,
@@ -386,8 +365,6 @@ fn main() {
     check_cache_suite(&mut failures, &mut checks);
     println!("hh-check: percentile differential sweep…");
     check_samples_suite(&mut failures, &mut checks);
-    println!("hh-check: memo-table collision probe…");
-    check_memo_suite(&mut failures, &mut checks);
     println!("hh-check: executor differential sweep (workers 1/2/8 + global)…");
     check_executor_suite(&mut failures, &mut checks);
     println!("hh-check: queue and server invariant sweep…");

@@ -45,6 +45,29 @@ impl Scale {
         }
     }
 
+    /// The smallest smoke scale: one server, 60 invocations per VM (the
+    /// scale of the `results/mini` golden tables).
+    pub fn mini() -> Self {
+        Scale {
+            servers: 1,
+            requests_per_vm: 60,
+            ..Scale::quick()
+        }
+    }
+
+    /// The `HH_SCALE` names [`Scale::named`] accepts.
+    pub const NAMES: [&'static str; 3] = ["quick", "mini", "paper"];
+
+    /// The scale called `name` (one of [`Scale::NAMES`]).
+    pub fn named(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Scale::quick()),
+            "mini" => Some(Scale::mini()),
+            "paper" => Some(Scale::paper()),
+            _ => None,
+        }
+    }
+
     /// Low-load variant for steady-state single-request measurements
     /// (Figure 6).
     pub fn light_load(self) -> Self {

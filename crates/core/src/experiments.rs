@@ -2,7 +2,8 @@
 //!
 //! Each `figN` method runs the simulations that figure needs and returns a
 //! typed result that renders to the same rows/series the paper plots. The
-//! index in `DESIGN.md` maps every method to its figure.
+//! index in `DESIGN.md` maps every method to its figure, and
+//! [`Experiments::figure`] renders any of them by its harness id.
 
 use hh_hwqueue::storage::StorageCost;
 use hh_server::{ServerConfig, SystemSpec};
@@ -688,6 +689,117 @@ impl Experiments {
         }
         t
     }
+
+    /// Every figure id [`Experiments::figure`] renders, in harness order.
+    pub const FIGURES: &'static [&'static str] = &[
+        "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig11", "fig12", "fig13",
+        "fig14", "fig15", "fig16", "fig17", "util", "storage", "fig18", "fig19",
+        // Extensions beyond the paper's figures:
+        "adaptive", "regions", "overflow", "mshr",
+    ];
+
+    /// Runs one figure by id and returns its printable report, or `None`
+    /// for an id outside [`Experiments::FIGURES`].
+    pub fn figure(&self, id: &str) -> Option<String> {
+        Some(match id {
+            "table1" => self.table1().render(),
+            "fig2" => self.fig2().to_table().render(),
+            "fig3" => {
+                let mut out = String::from("Figure 3 (utilization @30s grain)\n");
+                for (i, u) in self.fig3().iter().enumerate() {
+                    out.push_str(&format!("{:>5}s  {:.3}\n", i * 30, u));
+                }
+                out
+            }
+            "fig4" => self.fig4().to_table().render(),
+            "fig5" => self.fig5().to_table().render(),
+            "fig6" => {
+                let fig = self.fig6();
+                let mut s = fig.to_table().render();
+                s.push_str(&format!("\nslowdown (harvest/noharvest): {:.2}x\n", fig.slowdown()));
+                s
+            }
+            "fig7" => self.fig7().to_table().render(),
+            "fig11" => self.fig11().to_table().render(),
+            "fig12" => self.fig12().to_table().render(),
+            "fig13" => self.fig13().to_table().render(),
+            "fig14" => fig14_table(&self.fig14()).render(),
+            "fig15" => self.fig15().to_table().render(),
+            "fig16" => self.fig16().to_table().render(),
+            "fig17" => self.fig17().to_table().render(),
+            "util" => {
+                let mut t = Table::new(vec![
+                    "Section 6.7".into(),
+                    "avg busy cores (of 36)".into(),
+                ]);
+                for (name, cores) in self.utilization() {
+                    t.row_f64(&name, &[cores]);
+                }
+                t.render()
+            }
+            "storage" => storage_table(&self.storage()).render(),
+            "fig18" => self.fig18().to_table().render(),
+            "fig19" => self.fig19().to_table().render(),
+            "adaptive" => self.adaptive().render(),
+            "regions" => self.region_sweep().to_table().render(),
+            "overflow" => self.overflow_pressure().render(),
+            "mshr" => self.mshr_sweep().to_table().render(),
+            _ => return None,
+        })
+    }
+}
+
+/// Figure 14's rows plus the per-policy average.
+fn fig14_table(rows: &[PolicyHitRates]) -> Table {
+    let mut t = Table::new(vec![
+        "Figure 14 (L2 hit rate)".into(),
+        "LRU".into(),
+        "RRIP".into(),
+        "HardHarvest".into(),
+        "Belady".into(),
+    ]);
+    for r in rows {
+        t.row_f64(r.service, &[r.lru, r.rrip, r.hardharvest, r.belady]);
+    }
+    let n = rows.len() as f64;
+    let avg = |f: fn(&PolicyHitRates) -> f64| rows.iter().map(f).sum::<f64>() / n;
+    t.row_f64(
+        "Avg",
+        &[avg(|r| r.lru), avg(|r| r.rrip), avg(|r| r.hardharvest), avg(|r| r.belady)],
+    );
+    t
+}
+
+/// Section 6.8's storage, area and power overheads next to the paper's.
+fn storage_table(s: &StorageCost) -> Table {
+    let sram = StorageCost::table1_chip_sram_bytes();
+    let mut t = Table::new(vec!["Section 6.8".into(), "value".into()]);
+    let rows = [
+        (
+            "controller storage",
+            format!("{:.2} KB (paper: 18.9 KB)", s.controller_bytes() as f64 / 1024.0),
+        ),
+        (
+            "controller per core",
+            format!("{:.2} KB (paper: 0.53 KB)", s.controller_bytes_per_core() / 1024.0),
+        ),
+        (
+            "Shared bits/server",
+            format!("{:.1} KB (paper: 67.8 KB)", s.shared_bit_bytes() as f64 / 1024.0),
+        ),
+        (
+            "area overhead",
+            format!("{:.3}% (paper: 0.19%)", s.area_fraction(sram) * 100.0),
+        ),
+        (
+            "power overhead",
+            format!("{:.3}% (paper: 0.16%)", s.power_fraction(sram) * 100.0),
+        ),
+    ];
+    for (k, v) in rows {
+        t.row(vec![k.into(), v]);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -729,6 +841,16 @@ mod tests {
         let s = t.render();
         assert!(s.contains("3 GHz"));
         assert!(s.contains("32 chunks"));
+    }
+
+    #[test]
+    fn figure_renders_known_ids_and_rejects_unknown_ones() {
+        let ex = tiny();
+        for id in ["table1", "fig2", "fig3", "storage"] {
+            assert!(!ex.figure(id).unwrap().is_empty(), "{id}");
+        }
+        assert_eq!(Experiments::FIGURES.len(), 22);
+        assert!(ex.figure("fig99").is_none());
     }
 
     #[test]

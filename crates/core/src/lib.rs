@@ -10,7 +10,8 @@
 //!   ablation of Figures 12/13/15;
 //! * [`Experiments`] — one method per table and figure in the paper's
 //!   evaluation (see `DESIGN.md` for the index), returning typed rows that
-//!   render via [`Table`];
+//!   render via [`Table`]; [`Experiments::figure`] renders any of them by
+//!   id (the ids of [`Experiments::FIGURES`]) for the `figures` binary;
 //! * [`ReplacementLab`] — the offline Figure 14 policy study
 //!   (LRU/RRIP/HardHarvest/Belady L2 hit rates);
 //! * [`RunPlan`] — the memoizing bounded-pool executor every cluster run
@@ -37,7 +38,7 @@ mod report;
 mod runplan;
 
 pub use cluster::{run_cluster, run_cluster_with, ClusterMetrics, Scale};
-pub use runplan::{resolved_configs, MemoTable, RunPlan};
+pub use runplan::{resolved_configs, RunPlan};
 pub use experiments::{
     BreakdownFigure, Experiments, LatencyFigure, LatencyRow, ThroughputFigure, UtilizationCdf,
 };

@@ -5,7 +5,7 @@
 //! only in the percentile they report, Figure 17 and the utilization study
 //! revisit the same five systems, and four experiments re-simulate the
 //! stock `NoHarvest` baseline. [`RunPlan`] deduplicates them — a cluster
-//! run is keyed by a fingerprint of its fully-resolved per-server
+//! run is keyed by the full text of its resolved per-server
 //! [`ServerConfig`]s, so any two requests that would simulate the same
 //! thing share one result.
 //!
@@ -30,76 +30,6 @@ use crate::{ClusterMetrics, Scale};
 /// A unit of pool work: simulate one server, send its metrics home.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One [`MemoTable`] bucket: every full key sharing a fingerprint hash,
-/// each with its result cell.
-type Bucket = Vec<(Box<str>, Arc<OnceLock<ClusterMetrics>>)>;
-
-/// The memo table behind [`RunPlan`]: result cells bucketed by the
-/// fingerprint hash, with the *full* resolved key stored alongside each
-/// cell.
-///
-/// Keying by the bare 64-bit FNV-1a fingerprint alone would silently serve
-/// one configuration's [`ClusterMetrics`] for a different configuration on
-/// a hash collision. Instead the hash only selects a bucket; within the
-/// bucket the complete key string (system label plus every resolved
-/// per-server config) is compared before a cell is shared, so colliding
-/// configurations get distinct cells and distinct simulations.
-///
-/// Public so the `hh-check` oracle suite can probe the collision behaviour
-/// directly (forcing a real FNV-1a collision through `ServerConfig` is
-/// impractical; probing the bucket API is not).
-#[derive(Debug, Default)]
-pub struct MemoTable {
-    buckets: Mutex<BTreeMap<u64, Bucket>>,
-}
-
-impl MemoTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        MemoTable::default()
-    }
-
-    /// The result cell for (`hash`, `full_key`), created on first use.
-    /// Two calls share a cell only when the full keys match — the hash is
-    /// a bucket index, never the identity. The `Arc<OnceLock>` is cloned
-    /// out of the table before initialization, so concurrent requests for
-    /// the same key block on one simulation instead of racing duplicates.
-    pub fn cell(&self, hash: u64, full_key: &str) -> Arc<OnceLock<ClusterMetrics>> {
-        #[expect(
-            clippy::expect_used,
-            reason = "lock poisoning means a worker panicked mid-simulation; the run is \
-                      already lost, die loudly"
-        )]
-        let mut buckets = self.buckets.lock().expect("memo poisoned");
-        let bucket = buckets.entry(hash).or_default();
-        if let Some((_, cell)) = bucket.iter().find(|(k, _)| &**k == full_key) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(OnceLock::new());
-        bucket.push((full_key.into(), Arc::clone(&cell)));
-        cell
-    }
-
-    /// Number of distinct keys stored.
-    #[expect(
-        clippy::expect_used,
-        reason = "poisoning implies a worker already panicked; propagate the failure"
-    )]
-    pub fn len(&self) -> usize {
-        self.buckets
-            .lock()
-            .expect("memo poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Memoizing parallel executor for cluster simulations.
 ///
 /// See the module docs for the design. The process-wide instance used by
@@ -109,8 +39,11 @@ impl MemoTable {
 pub struct RunPlan {
     workers: usize,
     queue: mpsc::Sender<Job>,
-    /// One cell per distinct simulation (see [`MemoTable`]).
-    memo: MemoTable,
+    /// One result cell per distinct simulation, keyed by the full memo
+    /// key (see [`memo_key`]). The `Arc<OnceLock>` is cloned out of the
+    /// map before initialization, so concurrent requests for one key block
+    /// on a single simulation instead of racing duplicates.
+    memo: Mutex<BTreeMap<Box<str>, Arc<OnceLock<ClusterMetrics>>>>,
     sims_run: AtomicU64,
     memo_hits: AtomicU64,
 }
@@ -156,17 +89,41 @@ impl RunPlan {
         RunPlan {
             workers,
             queue: tx,
-            memo: MemoTable::new(),
+            memo: Mutex::default(),
             sims_run: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
         }
     }
 
-    /// The process-wide executor. Worker count comes from `HH_WORKERS`
-    /// when set (and positive), else `available_parallelism`.
+    /// The process-wide executor, sized by [`RunPlan::workers_from_env`].
+    ///
+    /// # Panics
+    /// Panics if `HH_WORKERS` is set but not a positive integer.
     pub fn global() -> &'static RunPlan {
         static GLOBAL: OnceLock<RunPlan> = OnceLock::new();
-        GLOBAL.get_or_init(|| RunPlan::with_workers(default_workers()))
+        GLOBAL.get_or_init(|| {
+            #[expect(
+                clippy::panic,
+                reason = "a mistyped HH_WORKERS must not silently run at another pool size"
+            )]
+            let workers = RunPlan::workers_from_env().unwrap_or_else(|e| panic!("{e}"));
+            RunPlan::with_workers(workers)
+        })
+    }
+
+    /// The pool size `HH_WORKERS` asks for, or the machine's available
+    /// parallelism when it is unset.
+    ///
+    /// # Errors
+    /// Names the value when `HH_WORKERS` is set but not a positive integer.
+    pub fn workers_from_env() -> Result<usize, String> {
+        let Some(raw) = std::env::var_os("HH_WORKERS") else {
+            return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        };
+        raw.to_str()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("HH_WORKERS must be a positive integer, got {raw:?}"))
     }
 
     /// A leaked, `'static` executor for tests that pin the worker count or
@@ -202,8 +159,7 @@ impl RunPlan {
         let traced = hh_trace::enabled();
         let t0 = if traced { hh_trace::exec::wall_us() } else { 0.0 };
         let configs = resolved_configs(system, scale, seed, tweak);
-        let (hash, full_key) = memo_key(system, &configs);
-        let cell = self.memo.cell(hash, &full_key);
+        let cell = self.memo_cell(memo_key(system, &configs));
         if let Some(hit) = cell.get() {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             if traced {
@@ -230,6 +186,17 @@ impl RunPlan {
     /// Runs (or recalls) a cluster with stock Table 1 knobs.
     pub fn run_cluster(&self, system: SystemSpec, scale: Scale, seed: u64) -> ClusterMetrics {
         self.run_cluster_with(system, scale, seed, |_| {})
+    }
+
+    /// The result cell for `key`, created on first use.
+    fn memo_cell(&self, key: String) -> Arc<OnceLock<ClusterMetrics>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning means a worker panicked mid-simulation; the run is \
+                      already lost, die loudly"
+        )]
+        let mut memo = self.memo.lock().expect("memo poisoned");
+        Arc::clone(memo.entry(key.into_boxed_str()).or_default())
     }
 
     /// Fans the per-server jobs out to the pool and reassembles the
@@ -306,47 +273,25 @@ pub fn resolved_configs(
         .collect()
 }
 
-/// The memo identity of one cluster run: the full key string (system label
-/// plus the `Debug` rendering of every resolved per-server config, which
-/// embeds the [`SystemSpec`], the scale knobs and the per-server seed) and
-/// its FNV-1a hash. The label is mixed in so same-config variants renamed
-/// for a figure stay distinct rows. The hash picks the [`MemoTable`]
-/// bucket; the string is what actually identifies the run.
-fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> (u64, String) {
+/// The memo identity of one cluster run: the system label plus the `Debug`
+/// rendering of every resolved per-server config, which embeds the
+/// [`SystemSpec`], the scale knobs and the per-server seed. The label is
+/// mixed in so same-config variants renamed for a figure stay distinct
+/// rows.
+fn memo_key(system: SystemSpec, configs: &[ServerConfig]) -> String {
     use fmt::Write;
-    let mut full = String::with_capacity(256);
-    full.push_str(system.name);
+    let mut key = String::with_capacity(256);
+    key.push_str(system.name);
     for cfg in configs {
-        full.push('\n');
+        key.push('\n');
         #[expect(
             clippy::expect_used,
             reason = "fmt::Write to String cannot fail; the expect documents that, it \
                       never fires"
         )]
-        write!(full, "{cfg:?}").expect("String write is infallible");
+        write!(key, "{cfg:?}").expect("String write is infallible");
     }
-
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in full.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    (h, full)
-}
-
-/// `HH_WORKERS` when set to a positive integer, else the machine's
-/// available parallelism.
-fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("HH_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    key
 }
 
 #[cfg(test)]
@@ -363,34 +308,114 @@ mod tests {
     }
 
     #[test]
-    fn memo_hash_collision_keeps_cells_distinct() {
-        // Two different resolved configs forced onto the same fingerprint
-        // hash: the bucket must hold two cells, not alias one result.
-        let memo = MemoTable::new();
-        let a = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-a");
-        let b = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-b");
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "hash collision must not alias two different configs"
-        );
-        assert_eq!(memo.len(), 2);
-        // Same hash *and* same full key → the same cell (the memo still
-        // deduplicates what it should).
-        let a_again = memo.cell(0xDEAD_BEEF, "NoHarvest\nconfig-a");
-        assert!(Arc::ptr_eq(&a, &a_again));
-        assert_eq!(memo.len(), 2);
-    }
+    fn every_config_field_is_part_of_the_memo_key() {
+        use hh_server::{HarvestMode, SwReassign};
+        use hh_sim::Cycles;
+        use hh_workload::CatalogKind;
 
-    #[test]
-    fn memo_key_separates_configs_beyond_the_hash() {
-        let sys = SystemSpec::no_harvest();
-        let a = resolved_configs(sys, tiny(), 9, |_| {});
-        let b = resolved_configs(sys, tiny(), 9, |cfg| cfg.requests_per_vm = 20);
-        let (_, key_a) = memo_key(sys, &a);
-        let (_, key_b) = memo_key(sys, &b);
-        assert_ne!(key_a, key_b, "full keys must differ for different configs");
-        let (hash_a2, key_a2) = memo_key(sys, &a);
-        assert_eq!((memo_key(sys, &a).0, key_a.clone()), (hash_a2, key_a2));
+        let base = resolved_configs(SystemSpec::hardharvest_block(), tiny(), 9, |_| {}).remove(0);
+        let key = |cfg: &ServerConfig| memo_key(cfg.system, std::slice::from_ref(cfg));
+        // Destructured without `..` and each binding used once below: a new
+        // field fails to build (or warns unused) until it is perturbed here.
+        let ServerConfig {
+            system,
+            cores,
+            primary_vms,
+            cores_per_primary,
+            harvest_base_cores,
+            hierarchy,
+            llc,
+            harvest_frac,
+            flush,
+            latency,
+            rps_per_vm,
+            requests_per_vm,
+            batch_job,
+            batch_stall_scale,
+            capacity_frac,
+            infinite_cache,
+            eviction_candidate_frac,
+            adaptive_block_threshold_us,
+            rq_chunks,
+            bursty_load,
+            catalog,
+            seed,
+        } = base.clone();
+        let SystemSpec {
+            name,
+            mode,
+            opts,
+            sw_reassign,
+            flush_enabled,
+            reassign_enabled,
+            harvest_busy,
+            buffer_cores,
+            max_loaned_per_vm,
+            eager_steal,
+            predictive_reserve,
+        } = system;
+        // `set!(path = value)`: the base config with one field changed.
+        macro_rules! set {
+            ($($field:ident).+ = $value:expr) => {{
+                let mut cfg = base.clone();
+                cfg.$($field).+ = $value;
+                (stringify!($($field).+), cfg)
+            }};
+        }
+        let one = Cycles::new(1);
+        let perturbed = [
+            set!(cores = cores + 1),
+            set!(primary_vms = primary_vms + 1),
+            set!(cores_per_primary = cores_per_primary + 1),
+            set!(harvest_base_cores = harvest_base_cores + 1),
+            set!(hierarchy.page_walk_cycles = hierarchy.page_walk_cycles + 1),
+            set!(llc.ways = llc.ways + 1),
+            set!(harvest_frac = harvest_frac / 2.0),
+            set!(flush.hw_region = flush.hw_region + one),
+            set!(latency.hw_ctxt = latency.hw_ctxt + one),
+            set!(rps_per_vm = rps_per_vm * 2.0),
+            set!(requests_per_vm = requests_per_vm + 1),
+            set!(batch_job = batch_job + 1),
+            set!(batch_stall_scale = batch_stall_scale * 2.0),
+            set!(capacity_frac = capacity_frac / 2.0),
+            set!(infinite_cache = !infinite_cache),
+            set!(eviction_candidate_frac = Some(eviction_candidate_frac.unwrap_or(0.75) / 2.0)),
+            set!(adaptive_block_threshold_us = adaptive_block_threshold_us + 1.0),
+            set!(rq_chunks = rq_chunks + 1),
+            set!(bursty_load = !bursty_load),
+            set!(
+                catalog = match catalog {
+                    CatalogKind::SocialNet => CatalogKind::HotelReservation,
+                    CatalogKind::HotelReservation => CatalogKind::SocialNet,
+                }
+            ),
+            set!(seed = seed ^ 1),
+            set!(system.name = &name[1..]),
+            set!(
+                system.mode = match mode {
+                    HarvestMode::Disabled => HarvestMode::OnBlock,
+                    _ => HarvestMode::Disabled,
+                }
+            ),
+            set!(system.opts.smart_repl = !opts.smart_repl),
+            set!(
+                system.sw_reassign = match sw_reassign {
+                    SwReassign::Kvm => SwReassign::Optimized,
+                    SwReassign::Optimized => SwReassign::Kvm,
+                }
+            ),
+            set!(system.flush_enabled = !flush_enabled),
+            set!(system.reassign_enabled = !reassign_enabled),
+            set!(system.harvest_busy = !harvest_busy),
+            set!(system.buffer_cores = buffer_cores + 1),
+            set!(system.max_loaned_per_vm = max_loaned_per_vm / 2),
+            set!(system.eager_steal = !eager_steal),
+            set!(system.predictive_reserve = !predictive_reserve),
+        ];
+        let base_key = key(&base);
+        for (field, cfg) in &perturbed {
+            assert_ne!(key(cfg), base_key, "perturbing {field} left the memo key unchanged");
+        }
     }
 
     #[test]

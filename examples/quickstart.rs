@@ -27,5 +27,5 @@ fn main() {
         println!("  L2 hit rate        : {:.1} %", m.l2_hit_rate() * 100.0);
     }
 
-    println!("\nSee `cargo run --release -p hh-bench --bin figures` for every paper figure.");
+    println!("\nSee `cargo run --release --bin figures` for every paper figure.");
 }

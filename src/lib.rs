@@ -3,7 +3,8 @@
 //!
 //! This facade crate re-exports the full public API of the workspace; see
 //! [`hh_core`] for the top-level cluster/experiment interface and the
-//! README for the architecture overview.
+//! README for the architecture overview. Its `figures` binary is the
+//! figure harness: it regenerates every table and figure of the paper.
 //!
 //! ```no_run
 //! use hardharvest::{run_cluster, Scale, SystemSpec};
